@@ -537,43 +537,47 @@ pub fn container_locals(toks: &[Tok], body: Range<usize>) -> BTreeSet<String> {
 }
 
 /// Does a `let` declaration span (`: ty = init` part) pin the binding
-/// to a std container?
+/// to a std container? Only the shape of the *whole* initializer
+/// counts: a constructor nested inside it (`Conn { line: Vec::new() }`,
+/// `f(Vec::new())`) says nothing about the binding's own type, and
+/// treating it as a container would drop real call edges.
 fn container_shaped(toks: &[Tok], span: Range<usize>) -> bool {
-    // `: Vec<..>` type ascription.
-    if toks.get(span.start).is_some_and(|t| t.is_punct(':'))
-        && toks
-            .get(span.start + 1)
-            .is_some_and(|t| CONTAINER_TYPES.iter().any(|c| t.is_ident(c)))
+    let tok = |k: usize| toks.get(k).filter(|_| k < span.end);
+    // `: Vec<..>` type ascription; any other ascribed type is not one.
+    if tok(span.start).is_some_and(|t| t.is_punct(':')) {
+        return tok(span.start + 1).is_some_and(|t| CONTAINER_TYPES.iter().any(|c| t.is_ident(c)));
+    }
+    if !tok(span.start).is_some_and(|t| t.is_punct('=')) {
+        return false;
+    }
+    let init = span.start + 1;
+    let closes_span =
+        |open: usize, o: char, c: char| match_close(toks, open, span.end, o, c) + 1 == span.end;
+    // `Vec::new()` / `String::with_capacity(..)` constructors.
+    if tok(init).is_some_and(|t| CONTAINER_TYPES.iter().any(|c| t.is_ident(c)))
+        && tok(init + 1).is_some_and(|t| t.is_punct(':'))
+        && tok(init + 2).is_some_and(|t| t.is_punct(':'))
+        && tok(init + 3).is_some_and(|t| t.kind == TokKind::Ident)
+        && tok(init + 4).is_some_and(|t| t.is_punct('('))
     {
-        return true;
+        return closes_span(init + 4, '(', ')');
     }
-    let mut i = span.start;
-    while i < span.end {
-        let t = &toks[i];
-        // `Vec::new()` / `String::with_capacity(..)` constructors.
-        if CONTAINER_TYPES.iter().any(|c| t.is_ident(c))
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        {
-            return true;
-        }
-        // `vec![..]` / `format!(..)` macros.
-        if (t.is_ident("vec") || t.is_ident("format"))
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
-        {
-            return true;
-        }
-        // `.to_vec()` / `.to_string()` tails.
-        if t.is_punct('.')
-            && toks
-                .get(i + 1)
-                .is_some_and(|t| t.is_ident("to_vec") || t.is_ident("to_string"))
-        {
-            return true;
-        }
-        i += 1;
+    // `vec![..]` / `format!(..)` macros.
+    if tok(init).is_some_and(|t| t.is_ident("vec") || t.is_ident("format"))
+        && tok(init + 1).is_some_and(|t| t.is_punct('!'))
+    {
+        return match tok(init + 2) {
+            Some(t) if t.is_punct('[') => closes_span(init + 2, '[', ']'),
+            Some(t) if t.is_punct('(') => closes_span(init + 2, '(', ')'),
+            _ => false,
+        };
     }
-    false
+    // `.to_vec()` / `.to_string()` tails.
+    span.end >= init + 4
+        && toks[span.end - 4].is_punct('.')
+        && (toks[span.end - 3].is_ident("to_vec") || toks[span.end - 3].is_ident("to_string"))
+        && toks[span.end - 2].is_punct('(')
+        && toks[span.end - 1].is_punct(')')
 }
 
 // ------------------------------------------------------------ runner
@@ -1451,5 +1455,24 @@ mod tests {
         assert!(locals.contains("dims") && locals.contains("s"), "{locals:?}");
         assert!(!locals.contains("mixed"), "shadowed by a non-container binding");
         assert!(!locals.contains("ds"), "params stay conservative");
+    }
+
+    #[test]
+    fn container_locals_judge_the_whole_initializer() {
+        let file = lib_file(
+            "x",
+            "pub fn f() {\n    let mut conn = Conn { line: Vec::new(), out: String::new() };\n\
+             let wrapped = wrap(Vec::new());\n    let chars = String::new().chars();\n\
+             let v = vec![1u8];\n    let s = format!(\"{}\", 1);\n    let t = name.to_string();\n\
+             let w = Vec::with_capacity(4);\n    conn.answer();\n}\n",
+        );
+        let graph = CallGraph::build(std::slice::from_ref(&file));
+        let locals = container_locals(&file.toks, graph.fns[0].body.clone());
+        for name in ["v", "s", "t", "w"] {
+            assert!(locals.contains(name), "{name}: {locals:?}");
+        }
+        for name in ["conn", "wrapped", "chars"] {
+            assert!(!locals.contains(name), "{name} is not a container: {locals:?}");
+        }
     }
 }

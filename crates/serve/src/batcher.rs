@@ -1,5 +1,8 @@
-//! Adaptive micro-batching: one worker thread per model coalesces
-//! concurrent predict requests into single batched `predict` calls.
+//! Adaptive micro-batching: one worker thread per lane coalesces
+//! concurrent requests into single batched calls. A lane is one served
+//! model (predict) or one augmentation pipeline (augment); both kinds
+//! implement [`BatchWork`] and run through the same [`Lane::submit`]
+//! and the same worker loop.
 //!
 //! The flush policy is the classic adaptive one: the first job to
 //! arrive opens a window of `max_wait`; the batch runs when either
@@ -8,8 +11,8 @@
 //! forward pass across requests); a lone request waits at most
 //! `max_wait` before running solo.
 //!
-//! Queues are **bounded** (`queue_cap` jobs per model). When a model's
-//! queue is full, [`Batcher::submit`] refuses with
+//! Queues are **bounded** (`queue_cap` jobs per lane). When a lane's
+//! queue is full, [`Lane::submit`] refuses with
 //! [`SubmitError::Overloaded`] and a backoff hint instead of buffering
 //! without limit — the connection handler turns that into an explicit
 //! `{"ok":false,"error":"overloaded","retry_ms":N}` reply, so overload
@@ -27,9 +30,9 @@
 //! * each reply travels through a recycled [`ReplyTicket`] from a warm
 //!   [`TicketPool`] (also preallocated to `queue_cap`), replacing the
 //!   per-request `mpsc::sync_channel` pair the first version allocated;
-//! * the workers keep per-thread scratch (`series` / `pending` vectors
-//!   sized to `max_batch`) and **move** each job's series into the
-//!   batch instead of cloning it.
+//! * the workers keep per-thread scratch (`inputs` / `pending` /
+//!   `outputs` vectors sized to `max_batch`) and **move** each job's
+//!   input into the batch instead of cloning it.
 //!
 //! The only remaining per-request allocation is the decoded request
 //! series itself, which the client owns. The `stats` endpoint exposes
@@ -46,7 +49,7 @@
 
 use crate::faults::FaultPlan;
 use crate::pipelines::PipelineRegistry;
-use crate::registry::ModelRegistry;
+use crate::registry::{ModelEntry, ModelRegistry};
 use crate::stats::ServerStats;
 use serde::Value;
 use std::collections::{BTreeMap, VecDeque};
@@ -54,6 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use tsda_augment::declarative::AugPipeline;
 use tsda_core::{Label, Mts, TsdaError};
 
 /// Micro-batcher knobs.
@@ -63,7 +67,7 @@ pub struct BatchConfig {
     pub max_batch: usize,
     /// Flush this long after the first pending request arrived.
     pub max_wait: Duration,
-    /// Maximum jobs queued per model before submits are shed with an
+    /// Maximum jobs queued per lane before submits are shed with an
     /// `overloaded` reply.
     pub queue_cap: usize,
 }
@@ -74,36 +78,83 @@ impl Default for BatchConfig {
     }
 }
 
-/// The answer a connection handler gets back for one queued series.
-#[derive(Debug, Clone)]
-pub struct BatchReply {
-    /// Predicted label, or a client-facing error message.
-    pub result: Result<usize, String>,
-    /// How many series shared the batch.
-    pub batch_size: usize,
-    /// Queue wait + predict time for this job, microseconds.
-    pub micros: u64,
+/// What one lane computes: a served model or an augmentation pipeline.
+pub trait BatchWork: Send + Sync + 'static {
+    /// One queued request's payload.
+    type Input: Send + 'static;
+    /// One request's answer.
+    type Output: Send + 'static;
+    /// Lane kind on the `stats` endpoint.
+    const LANE: &'static str;
+    /// Worker thread name prefix, short enough that `<prefix>-<name>`
+    /// survives Linux's 15-byte thread-name limit.
+    const THREAD: &'static str;
+    /// What a lane name refers to in refusals (`unknown model "x"`).
+    const NOUN: &'static str;
+
+    /// Check one input against the lane's contract before it queues.
+    fn check_input(&self, input: &Self::Input) -> Result<(), String>;
+
+    /// Run one batch, appending one output per input to `out` (empty on
+    /// entry). `Err` fails every job in the batch with that message.
+    fn run_batch(&self, inputs: &[Self::Input], out: &mut Vec<Self::Output>)
+        -> Result<(), String>;
 }
 
-/// The answer a connection handler gets back for one queued augment.
+impl BatchWork for ModelEntry {
+    type Input = Mts;
+    type Output = Label;
+    const LANE: &'static str = "predict";
+    const THREAD: &'static str = "batch";
+    const NOUN: &'static str = "model";
+
+    fn check_input(&self, input: &Mts) -> Result<(), String> {
+        self.validate(input)
+    }
+
+    /// Per-series predictions are batch-composition independent, so
+    /// served labels are bit-identical to offline `Classifier::predict`.
+    fn run_batch(&self, inputs: &[Mts], out: &mut Vec<Label>) -> Result<(), String> {
+        self.predict_batch_into(inputs, out).map_err(|e| format!("prediction failed: {e}"))
+    }
+}
+
+impl BatchWork for AugPipeline {
+    /// `(series, seed, index)`: the series and its derived-stream key.
+    type Input = (Mts, u64, u64);
+    type Output = Mts;
+    const LANE: &'static str = "augment";
+    const THREAD: &'static str = "aug";
+    const NOUN: &'static str = "pipeline";
+
+    fn check_input(&self, _input: &Self::Input) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// One pool execution; each element is a pure function of its own
+    /// `(seed, index)`, so results are independent of how requests
+    /// happened to coalesce into this batch.
+    fn run_batch(&self, inputs: &[Self::Input], out: &mut Vec<Mts>) -> Result<(), String> {
+        out.extend(self.run_each(inputs));
+        Ok(())
+    }
+}
+
+/// The answer a connection handler gets back for one queued job.
 #[derive(Debug, Clone)]
-pub struct AugReply {
-    /// Transformed series, or a client-facing error message.
-    pub result: Result<Mts, String>,
-    /// How many augments shared the batch.
+pub struct BatchReply<T> {
+    /// The lane's output, or a client-facing error message.
+    pub result: Result<T, String>,
+    /// How many jobs shared the batch.
     pub batch_size: usize,
-    /// Queue wait + execute time for this job, microseconds.
+    /// Queue wait + compute time for this job, microseconds.
     pub micros: u64,
 }
 
 /// Why a submit was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// No worker serves this model name.
-    UnknownModel,
-    /// No worker serves this pipeline name.
-    UnknownPipeline,
-    /// The model's queue is full (or the fault plan shed the submit);
+    /// The lane's queue is full (or the fault plan shed the submit);
     /// retry after roughly `retry_ms` milliseconds.
     Overloaded {
         /// Suggested client backoff, milliseconds.
@@ -113,31 +164,12 @@ pub enum SubmitError {
     Closed,
 }
 
-/// The reply a [`ReplySlot`] posts when dropped without an explicit
-/// answer, so an abandoned job can never deadlock its waiting
-/// connection.
-trait AbandonedReply: Sized {
-    fn abandoned() -> Self;
-}
-
-impl AbandonedReply for BatchReply {
-    fn abandoned() -> Self {
-        Self { result: Err("server shutting down".to_string()), batch_size: 0, micros: 0 }
-    }
-}
-
-impl AbandonedReply for AugReply {
-    fn abandoned() -> Self {
-        Self { result: Err("server shutting down".to_string()), batch_size: 0, micros: 0 }
-    }
-}
-
 /// A reusable one-shot reply rendezvous: the worker posts into `slot`,
 /// the connection thread blocks on `ready`. Tickets live in a
 /// [`TicketPool`] and are recycled after each reply, so the steady
 /// state submits without allocating.
 struct ReplyTicket<T> {
-    slot: Mutex<Option<T>>,
+    slot: Mutex<Option<BatchReply<T>>>,
     ready: Condvar,
 }
 
@@ -148,7 +180,7 @@ impl<T> ReplyTicket<T> {
 
     /// Lock the slot, shrugging off poison: a reply value is plain
     /// data, never left half-written by a panicking poster.
-    fn lock(&self) -> MutexGuard<'_, Option<T>> {
+    fn lock(&self) -> MutexGuard<'_, Option<BatchReply<T>>> {
         self.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
@@ -185,14 +217,14 @@ impl<T> TicketPool<T> {
 }
 
 /// Worker-side half of a ticket. Dropping it without [`Self::send`]
-/// posts [`AbandonedReply::abandoned`] so the waiter always wakes.
-struct ReplySlot<T: AbandonedReply> {
+/// posts a shutdown error so the waiter always wakes.
+struct ReplySlot<T> {
     ticket: Arc<ReplyTicket<T>>,
     sent: bool,
 }
 
-impl<T: AbandonedReply> ReplySlot<T> {
-    fn send(mut self, value: T) {
+impl<T> ReplySlot<T> {
+    fn send(mut self, value: BatchReply<T>) {
         *self.ticket.lock() = Some(value);
         self.ticket.ready.notify_one();
         self.sent = true;
@@ -205,13 +237,17 @@ impl<T: AbandonedReply> ReplySlot<T> {
     }
 }
 
-impl<T: AbandonedReply> Drop for ReplySlot<T> {
+impl<T> Drop for ReplySlot<T> {
     fn drop(&mut self) {
         if !self.sent {
             {
                 let mut slot = self.ticket.lock();
                 if slot.is_none() {
-                    *slot = Some(T::abandoned());
+                    *slot = Some(BatchReply {
+                        result: Err("server shutting down".to_string()),
+                        batch_size: 0,
+                        micros: 0,
+                    });
                 }
             }
             self.ticket.ready.notify_one();
@@ -219,7 +255,7 @@ impl<T: AbandonedReply> Drop for ReplySlot<T> {
     }
 }
 
-/// Connection-side half of a ticket, returned by [`Batcher::submit`].
+/// Connection-side half of a ticket, returned by [`Lane::submit`].
 pub struct PendingReply<T> {
     ticket: Arc<ReplyTicket<T>>,
     pool: Arc<TicketPool<T>>,
@@ -228,7 +264,7 @@ pub struct PendingReply<T> {
 impl<T> PendingReply<T> {
     /// Block until the worker answers (or abandons) this job, then
     /// recycle the ticket into the warm pool.
-    pub fn recv(self) -> T {
+    pub fn recv(self) -> BatchReply<T> {
         let value = {
             let mut slot = self.ticket.lock();
             loop {
@@ -249,18 +285,10 @@ impl<T> PendingReply<T> {
     }
 }
 
-struct Job {
-    series: Mts,
+struct Job<W: BatchWork> {
+    input: W::Input,
     enqueued: Instant,
-    reply: ReplySlot<BatchReply>,
-}
-
-struct AugJob {
-    series: Mts,
-    seed: u64,
-    index: u64,
-    enqueued: Instant,
-    reply: ReplySlot<AugReply>,
+    reply: ReplySlot<W::Output>,
 }
 
 /// A job refused by [`JobRing::offer`], handed back so its ticket can
@@ -383,146 +411,64 @@ struct QueueCounters {
     ticket_allocs: AtomicU64,
 }
 
-struct ModelQueue {
-    ring: Arc<JobRing<Job>>,
-    tickets: Arc<TicketPool<BatchReply>>,
-    counters: Arc<QueueCounters>,
-}
-
-struct AugQueue {
-    ring: Arc<JobRing<AugJob>>,
-    tickets: Arc<TicketPool<AugReply>>,
-    counters: Arc<QueueCounters>,
-}
-
-/// Handle for submitting jobs to the per-model batch workers.
-pub struct Batcher {
-    queues: BTreeMap<String, ModelQueue>,
-    aug_queues: BTreeMap<String, AugQueue>,
-    workers: Vec<JoinHandle<()>>,
+/// One batching lane: the work it runs, its bounded queue, its warm
+/// ticket pool, and its counters. The worker thread owns the other end
+/// of the ring.
+pub struct Lane<W: BatchWork> {
+    work: Arc<W>,
+    ring: Arc<JobRing<Job<W>>>,
+    tickets: Arc<TicketPool<W::Output>>,
+    counters: QueueCounters,
     /// Backoff hint for queue-full sheds: a few flush windows.
     shed_retry_ms: u64,
     faults: Option<Arc<FaultPlan>>,
 }
 
-impl Batcher {
-    /// Spawn one batch worker per registered model. Errors when the OS
-    /// refuses a worker thread; already-spawned workers are shut down
-    /// cleanly before the error is returned.
-    pub fn start(
-        registry: Arc<ModelRegistry>,
-        pipelines: Arc<PipelineRegistry>,
-        stats: Arc<ServerStats>,
-        config: BatchConfig,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> Result<Self, TsdaError> {
-        let mut queues = BTreeMap::new();
-        let mut aug_queues = BTreeMap::new();
-        let mut workers = Vec::new();
-        let queue_cap = config.queue_cap.max(1);
-        let shed_retry_ms = (config.max_wait.as_millis() as u64).max(1) * 4;
-        for name in registry.names() {
-            let ring = Arc::new(JobRing::with_capacity(queue_cap));
-            let registry = Arc::clone(&registry);
-            let stats = Arc::clone(&stats);
-            let model = name.clone();
-            let worker_ring = Arc::clone(&ring);
-            let worker_faults = faults.clone();
-            let spawned = std::thread::Builder::new().name(format!("batch-{name}")).spawn(
-                move || {
-                    worker_loop(&registry, &model, &stats, config, &worker_ring, worker_faults.as_deref())
-                },
-            );
-            match spawned {
-                Ok(handle) => {
-                    queues.insert(
-                        name,
-                        ModelQueue {
-                            ring,
-                            tickets: TicketPool::warm(queue_cap),
-                            counters: Arc::new(QueueCounters::default()),
-                        },
-                    );
-                    workers.push(handle);
-                }
-                Err(e) => {
-                    Self { queues, aug_queues, workers, shed_retry_ms, faults }.shutdown();
-                    return Err(TsdaError::Io(format!("spawn batch worker for {name:?}: {e}")));
-                }
-            }
-        }
-        for name in pipelines.names() {
-            let ring = Arc::new(JobRing::with_capacity(queue_cap));
-            let pipelines = Arc::clone(&pipelines);
-            let stats = Arc::clone(&stats);
-            let pipeline = name.clone();
-            let worker_ring = Arc::clone(&ring);
-            let worker_faults = faults.clone();
-            let spawned = std::thread::Builder::new().name(format!("aug-{name}")).spawn(
-                move || {
-                    aug_worker_loop(
-                        &pipelines,
-                        &pipeline,
-                        &stats,
-                        config,
-                        &worker_ring,
-                        worker_faults.as_deref(),
-                    )
-                },
-            );
-            match spawned {
-                Ok(handle) => {
-                    aug_queues.insert(
-                        name,
-                        AugQueue {
-                            ring,
-                            tickets: TicketPool::warm(queue_cap),
-                            counters: Arc::new(QueueCounters::default()),
-                        },
-                    );
-                    workers.push(handle);
-                }
-                Err(e) => {
-                    Self { queues, aug_queues, workers, shed_retry_ms, faults }.shutdown();
-                    return Err(TsdaError::Io(format!("spawn aug worker for {name:?}: {e}")));
-                }
-            }
-        }
-        Ok(Self { queues, aug_queues, workers, shed_retry_ms, faults })
+impl<W: BatchWork> Lane<W> {
+    /// The model or pipeline this lane runs.
+    pub fn work(&self) -> &W {
+        &self.work
     }
 
-    /// Queue one validated series for the named model. Returns a
-    /// [`PendingReply`] the caller blocks on for the reply, or a
-    /// [`SubmitError`] explaining the refusal (unknown model, full
-    /// queue, shutdown).
+    /// Queue one checked input. Returns a [`PendingReply`] the caller
+    /// blocks on for the reply, or a [`SubmitError`] explaining the
+    /// refusal (full queue, shutdown).
     ///
     /// Hot path: runs once per request on the connection thread, so
     /// `tsda_analyze` R3/A1 keep allocations out of it and its callees
     /// — the ring and the ticket pool are both preallocated.
     #[doc(alias = "tsda::hot")]
-    pub fn submit(&self, model: &str, series: Mts) -> Result<PendingReply<BatchReply>, SubmitError> {
-        let queue = self.queues.get(model).ok_or(SubmitError::UnknownModel)?;
+    pub fn submit(&self, input: W::Input) -> Result<PendingReply<W::Output>, SubmitError> {
         if let Some(plan) = self.faults.as_deref() {
             if let Some(retry_ms) = plan.shed() {
-                queue.counters.shed.fetch_add(1, Ordering::Relaxed);
+                self.counters.shed.fetch_add(1, Ordering::Relaxed);
                 return Err(SubmitError::Overloaded { retry_ms });
             }
         }
-        let ticket = take_ticket(&queue.tickets, &queue.counters);
+        let ticket = match self.tickets.take() {
+            Some(t) => t,
+            None => {
+                // The one hot-path allocation that can still happen,
+                // and only when more jobs are in flight than the pool
+                // was warmed for — counted so it shows on `stats`.
+                self.counters.ticket_allocs.fetch_add(1, Ordering::Relaxed);
+                Arc::new(ReplyTicket::new())
+            }
+        };
         let job = Job {
-            series,
+            input,
             enqueued: Instant::now(),
             reply: ReplySlot { ticket: Arc::clone(&ticket), sent: false },
         };
-        match queue.ring.offer(job) {
+        match self.ring.offer(job) {
             Ok(()) => {
-                queue.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(PendingReply { ticket, pool: Arc::clone(&queue.tickets) })
+                self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+                Ok(PendingReply { ticket, pool: Arc::clone(&self.tickets) })
             }
             Err(Refusal::Full(job)) => {
                 job.reply.cancel();
-                queue.tickets.recycle(&ticket);
-                queue.counters.shed.fetch_add(1, Ordering::Relaxed);
+                self.tickets.recycle(&ticket);
+                self.counters.shed.fetch_add(1, Ordering::Relaxed);
                 Err(SubmitError::Overloaded { retry_ms: self.shed_retry_ms })
             }
             Err(Refusal::Closed(job)) => {
@@ -532,71 +478,78 @@ impl Batcher {
         }
     }
 
-    /// Queue one series for the named augmentation pipeline. Same
-    /// bounded-queue discipline as [`Self::submit`]: full queues shed
-    /// with a retry hint instead of buffering without limit.
-    ///
-    /// Hot path: runs once per augment request on the connection
-    /// thread, so `tsda_analyze` R3/A1 keep allocations out of it and
-    /// its callees.
-    #[doc(alias = "tsda::hot")]
-    pub fn submit_augment(
-        &self,
-        pipeline: &str,
-        series: Mts,
-        seed: u64,
-        index: u64,
-    ) -> Result<PendingReply<AugReply>, SubmitError> {
-        let queue = self.aug_queues.get(pipeline).ok_or(SubmitError::UnknownPipeline)?;
-        if let Some(plan) = self.faults.as_deref() {
-            if let Some(retry_ms) = plan.shed() {
-                queue.counters.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::Overloaded { retry_ms });
-            }
-        }
-        let ticket = take_ticket(&queue.tickets, &queue.counters);
-        let job = AugJob {
-            series,
-            seed,
-            index,
-            enqueued: Instant::now(),
-            reply: ReplySlot { ticket: Arc::clone(&ticket), sent: false },
-        };
-        match queue.ring.offer(job) {
-            Ok(()) => {
-                queue.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(PendingReply { ticket, pool: Arc::clone(&queue.tickets) })
-            }
-            Err(Refusal::Full(job)) => {
-                job.reply.cancel();
-                queue.tickets.recycle(&ticket);
-                queue.counters.shed.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::Overloaded { retry_ms: self.shed_retry_ms })
-            }
-            Err(Refusal::Closed(job)) => {
-                job.reply.cancel();
-                Err(SubmitError::Closed)
+    fn stats_row(&self, name: &str) -> Value {
+        let c = &self.counters;
+        Value::Object(vec![
+            ("name".into(), Value::Str(name.to_string())),
+            ("lane".into(), Value::Str(W::LANE.to_string())),
+            ("depth".into(), Value::Num(self.ring.queued() as f64)),
+            ("submitted".into(), Value::Num(c.submitted.load(Ordering::Relaxed) as f64)),
+            ("shed".into(), Value::Num(c.shed.load(Ordering::Relaxed) as f64)),
+            ("ticket_allocs".into(), Value::Num(c.ticket_allocs.load(Ordering::Relaxed) as f64)),
+        ])
+    }
+}
+
+/// Every lane of one server: a predict lane per model and an augment
+/// lane per pipeline, each with its own worker thread.
+pub struct Batcher {
+    models: BTreeMap<String, Lane<ModelEntry>>,
+    pipelines: BTreeMap<String, Lane<AugPipeline>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Batcher {
+    /// Spawn one batch worker per registered model and pipeline. Errors
+    /// when the OS refuses a worker thread; already-spawned workers are
+    /// shut down cleanly before the error is returned.
+    pub fn start(
+        registry: &ModelRegistry,
+        pipelines: &PipelineRegistry,
+        stats: Arc<ServerStats>,
+        config: BatchConfig,
+        faults: Option<Arc<FaultPlan>>,
+    ) -> Result<Self, TsdaError> {
+        let mut batcher =
+            Self { models: BTreeMap::new(), pipelines: BTreeMap::new(), workers: Vec::new() };
+        let spawned = registry
+            .iter()
+            .try_for_each(|(name, entry)| {
+                let lanes = &mut batcher.models;
+                spawn_lane(name, entry, lanes, &mut batcher.workers, &stats, config, &faults)
+            })
+            .and_then(|()| {
+                pipelines.iter().try_for_each(|(name, pipeline)| {
+                    let lanes = &mut batcher.pipelines;
+                    spawn_lane(name, pipeline, lanes, &mut batcher.workers, &stats, config, &faults)
+                })
+            });
+        match spawned {
+            Ok(()) => Ok(batcher),
+            Err(e) => {
+                batcher.shutdown();
+                Err(e)
             }
         }
     }
 
-    /// Current queue depth for a model (observability / tests).
-    pub fn depth(&self, model: &str) -> Option<usize> {
-        self.queues.get(model).map(|q| q.ring.queued())
+    /// The predict lane serving `model`.
+    pub fn model(&self, model: &str) -> Option<&Lane<ModelEntry>> {
+        self.models.get(model)
+    }
+
+    /// The augment lane serving `pipeline`.
+    pub fn pipeline(&self, pipeline: &str) -> Option<&Lane<AugPipeline>> {
+        self.pipelines.get(pipeline)
     }
 
     /// Per-queue counters for the `stats` endpoint: live depth,
     /// accepted / shed submits, and hot-path ticket allocations (zero
     /// while the warm pool covers the in-flight high-water mark).
     pub fn queue_stats(&self) -> Value {
-        let mut rows = Vec::new();
-        for (name, q) in &self.queues {
-            rows.push(queue_row(name, "predict", q.ring.queued(), &q.counters));
-        }
-        for (name, q) in &self.aug_queues {
-            rows.push(queue_row(name, "augment", q.ring.queued(), &q.counters));
-        }
-        Value::Array(rows)
+        let models = self.models.iter().map(|(name, lane)| lane.stats_row(name));
+        let pipelines = self.pipelines.iter().map(|(name, lane)| lane.stats_row(name));
+        Value::Array(models.chain(pipelines).collect())
     }
 
     /// Close every ring (workers drain every queued job, then exit)
@@ -609,12 +562,8 @@ impl Batcher {
     }
 
     fn close_rings(&self) {
-        for q in self.queues.values() {
-            q.ring.close();
-        }
-        for q in self.aug_queues.values() {
-            q.ring.close();
-        }
+        self.models.values().for_each(|lane| lane.ring.close());
+        self.pipelines.values().for_each(|lane| lane.ring.close());
     }
 }
 
@@ -627,87 +576,80 @@ impl Drop for Batcher {
     }
 }
 
-/// Pop a warm ticket, falling back to a fresh allocation (counted —
-/// this is the one hot-path allocation that can still happen, and only
-/// when more jobs are in flight than the pool was warmed for).
-fn take_ticket<T>(pool: &Arc<TicketPool<T>>, counters: &QueueCounters) -> Arc<ReplyTicket<T>> {
-    match pool.take() {
-        Some(t) => t,
-        None => {
-            counters.ticket_allocs.fetch_add(1, Ordering::Relaxed);
-            Arc::new(ReplyTicket::new())
-        }
-    }
+/// Spawn the worker for one lane and record the lane under `name`.
+/// The lane's work is resolved here, so the worker never looks it up
+/// again.
+fn spawn_lane<W: BatchWork>(
+    name: &str,
+    work: &Arc<W>,
+    lanes: &mut BTreeMap<String, Lane<W>>,
+    workers: &mut Vec<JoinHandle<()>>,
+    stats: &Arc<ServerStats>,
+    config: BatchConfig,
+    faults: &Option<Arc<FaultPlan>>,
+) -> Result<(), TsdaError> {
+    let queue_cap = config.queue_cap.max(1);
+    let ring = Arc::new(JobRing::with_capacity(queue_cap));
+    let handle = {
+        let (work, ring, stats) = (Arc::clone(work), Arc::clone(&ring), Arc::clone(stats));
+        let worker_faults = faults.clone();
+        std::thread::Builder::new()
+            .name(format!("{}-{name}", W::THREAD))
+            .spawn(move || worker_loop(&*work, &stats, config, &ring, worker_faults.as_deref()))
+            .map_err(|e| TsdaError::Io(format!("spawn {} worker for {name:?}: {e}", W::LANE)))?
+    };
+    workers.push(handle);
+    lanes.insert(
+        name.to_string(),
+        Lane {
+            work: Arc::clone(work),
+            ring,
+            tickets: TicketPool::warm(queue_cap),
+            counters: QueueCounters::default(),
+            shed_retry_ms: (config.max_wait.as_millis() as u64).max(1) * 4,
+            faults: faults.clone(),
+        },
+    );
+    Ok(())
 }
 
-fn queue_row(name: &str, lane: &str, depth: usize, c: &QueueCounters) -> Value {
-    Value::Object(vec![
-        ("name".into(), Value::Str(name.to_string())),
-        ("lane".into(), Value::Str(lane.to_string())),
-        ("depth".into(), Value::Num(depth as f64)),
-        ("submitted".into(), Value::Num(c.submitted.load(Ordering::Relaxed) as f64)),
-        ("shed".into(), Value::Num(c.shed.load(Ordering::Relaxed) as f64)),
-        ("ticket_allocs".into(), Value::Num(c.ticket_allocs.load(Ordering::Relaxed) as f64)),
-    ])
-}
-
-fn worker_loop(
-    registry: &ModelRegistry,
-    model: &str,
+/// The batch worker every lane runs: block for a first job, gather up
+/// to `max_batch` within `max_wait`, run the batch, answer each job.
+fn worker_loop<W: BatchWork>(
+    work: &W,
     stats: &ServerStats,
     config: BatchConfig,
-    ring: &JobRing<Job>,
+    ring: &JobRing<Job<W>>,
     faults: Option<&FaultPlan>,
 ) {
-    let Some(entry) = registry.get(model) else {
-        // The batcher only spawns workers for registered models; if the
-        // registry ever disagrees, fail each job cleanly instead of
-        // panicking the worker thread.
-        while let Some(job) = ring.pop_blocking() {
-            job.reply.send(BatchReply {
-                result: Err(format!("model {model:?} is not registered")),
-                batch_size: 0,
-                micros: 0,
-            });
-        }
-        return;
-    };
     let max_batch = config.max_batch.max(1);
-    // Worker scratch, reused across batches: the series buffer handed
-    // to `predict_batch_into`, the reply slots awaiting labels, and
-    // the label output. After the first full batch none of these grow.
-    let mut series: Vec<Mts> = Vec::with_capacity(max_batch);
-    let mut pending: Vec<(Instant, ReplySlot<BatchReply>)> = Vec::with_capacity(max_batch);
-    let mut labels: Vec<Label> = Vec::with_capacity(max_batch);
-    loop {
-        // Block for the first job; a closed-and-drained ring is the
-        // shutdown signal, so a shutting-down server still answers
-        // everything already queued.
-        let first = match ring.pop_blocking() {
-            Some(job) => job,
-            None => return,
-        };
+    // Worker scratch, reused across batches: the inputs handed to
+    // `run_batch` (each job's input MOVES in — no per-job clone), the
+    // reply slots awaiting answers, and the outputs. After the first
+    // full batch none of these grow.
+    let mut inputs: Vec<W::Input> = Vec::with_capacity(max_batch);
+    let mut pending: Vec<(Instant, ReplySlot<W::Output>)> = Vec::with_capacity(max_batch);
+    let mut outputs: Vec<W::Output> = Vec::with_capacity(max_batch);
+    // Block for the first job; a closed-and-drained ring is the
+    // shutdown signal, so a shutting-down server still answers
+    // everything already queued.
+    while let Some(first) = ring.pop_blocking() {
         let deadline = Instant::now() + config.max_wait;
-        series.push(first.series);
-        pending.push((first.enqueued, first.reply));
-        while pending.len() < max_batch {
-            match ring.pop_until(deadline) {
-                Some(job) => {
-                    series.push(job.series);
-                    pending.push((job.enqueued, job.reply));
-                }
-                None => break,
-            }
+        let mut next = Some(first);
+        while let Some(job) = next {
+            inputs.push(job.input);
+            pending.push((job.enqueued, job.reply));
+            next = if pending.len() < max_batch { ring.pop_until(deadline) } else { None };
         }
 
-        // Injected stall: the model "hangs" before the batch runs,
+        // Injected stall: the lane "hangs" before the batch runs,
         // building real queue depth behind it.
         if let Some(pause) = faults.and_then(FaultPlan::stall) {
             std::thread::sleep(pause);
         }
 
         let batch_start = Instant::now();
-        let outcome = entry.predict_batch_into(&series, &mut labels);
+        let outcome = work.run_batch(&inputs, &mut outputs);
         let batch_micros = batch_start.elapsed().as_micros() as u64;
         stats.batches.fetch_add(1, Ordering::Relaxed);
         stats.batched_items.fetch_add(pending.len() as u64, Ordering::Relaxed);
@@ -716,15 +658,14 @@ fn worker_loop(
         let batch_size = pending.len();
         match outcome {
             Ok(()) => {
-                debug_assert_eq!(labels.len(), batch_size);
-                for ((enqueued, reply), label) in pending.drain(..).zip(labels.drain(..)) {
+                debug_assert_eq!(outputs.len(), batch_size);
+                for ((enqueued, reply), out) in pending.drain(..).zip(outputs.drain(..)) {
                     let micros = enqueued.elapsed().as_micros() as u64;
                     stats.request_latency.record(micros);
-                    reply.send(BatchReply { result: Ok(label), batch_size, micros });
+                    reply.send(BatchReply { result: Ok(out), batch_size, micros });
                 }
             }
-            Err(e) => {
-                let msg = format!("prediction failed: {e}");
+            Err(msg) => {
                 for (enqueued, reply) in pending.drain(..) {
                     let micros = enqueued.elapsed().as_micros() as u64;
                     stats.errors.fetch_add(1, Ordering::Relaxed);
@@ -733,78 +674,8 @@ fn worker_loop(
                 }
             }
         }
-        series.clear();
-    }
-}
-
-fn aug_worker_loop(
-    pipelines: &PipelineRegistry,
-    name: &str,
-    stats: &ServerStats,
-    config: BatchConfig,
-    ring: &JobRing<AugJob>,
-    faults: Option<&FaultPlan>,
-) {
-    let Some(pipeline) = pipelines.get(name) else {
-        // Workers are only spawned for registered pipelines; if the
-        // registry ever disagrees, fail each job cleanly instead of
-        // panicking the worker thread.
-        while let Some(job) = ring.pop_blocking() {
-            job.reply.send(AugReply {
-                result: Err(format!("pipeline {name:?} is not registered")),
-                batch_size: 0,
-                micros: 0,
-            });
-        }
-        return;
-    };
-    let max_batch = config.max_batch.max(1);
-    // Worker scratch, reused across batches. Each job's series MOVES
-    // into the items buffer — no per-job clone. (The transformed
-    // output series are fresh allocations by nature: they are handed
-    // to the clients.)
-    let mut items: Vec<(Mts, u64, u64)> = Vec::with_capacity(max_batch);
-    let mut pending: Vec<(Instant, ReplySlot<AugReply>)> = Vec::with_capacity(max_batch);
-    loop {
-        let first = match ring.pop_blocking() {
-            Some(job) => job,
-            None => return,
-        };
-        let deadline = Instant::now() + config.max_wait;
-        items.push((first.series, first.seed, first.index));
-        pending.push((first.enqueued, first.reply));
-        while pending.len() < max_batch {
-            match ring.pop_until(deadline) {
-                Some(job) => {
-                    items.push((job.series, job.seed, job.index));
-                    pending.push((job.enqueued, job.reply));
-                }
-                None => break,
-            }
-        }
-
-        if let Some(pause) = faults.and_then(FaultPlan::stall) {
-            std::thread::sleep(pause);
-        }
-
-        // One batched pool execution; each element is a pure function
-        // of its own (seed, index), so results are independent of how
-        // requests happened to coalesce into this batch.
-        let batch_start = Instant::now();
-        let results = pipeline.run_each(&items);
-        let batch_micros = batch_start.elapsed().as_micros() as u64;
-        stats.batches.fetch_add(1, Ordering::Relaxed);
-        stats.batched_items.fetch_add(pending.len() as u64, Ordering::Relaxed);
-        stats.batch_latency.record(batch_micros);
-
-        let batch_size = pending.len();
-        debug_assert_eq!(results.len(), batch_size);
-        for ((enqueued, reply), out) in pending.drain(..).zip(results) {
-            let micros = enqueued.elapsed().as_micros() as u64;
-            stats.request_latency.record(micros);
-            reply.send(AugReply { result: Ok(out), batch_size, micros });
-        }
-        items.clear();
+        inputs.clear();
+        outputs.clear();
     }
 }
 
@@ -812,7 +683,6 @@ fn aug_worker_loop(
 mod tests {
     use super::*;
     use crate::faults::FaultRates;
-    use crate::registry::ModelEntry;
     use rand::Rng;
     use tsda_classify::persist::SavedModel;
     use tsda_classify::{Classifier, Rocket, RocketConfig};
@@ -853,16 +723,17 @@ mod tests {
         registry
             .insert(ModelEntry::from_saved("rocket", SavedModel::Rocket(rocket), None).unwrap());
         let stats = Arc::new(ServerStats::new());
-        let pipelines = Arc::new(
-            PipelineRegistry::from_toml(
-                "[pipeline]\nname = \"light\"\n[[stage]]\nchoose = [\"jitter\", \"scaling\"]\nprob = 0.8\n",
-            )
-            .unwrap(),
-        );
-        let batcher =
-            Batcher::start(Arc::new(registry), pipelines, Arc::clone(&stats), config, faults)
-                .expect("batch workers start");
+        let pipelines = PipelineRegistry::from_toml(
+            "[pipeline]\nname = \"light\"\n[[stage]]\nchoose = [\"jitter\", \"scaling\"]\nprob = 0.8\n",
+        )
+        .unwrap();
+        let batcher = Batcher::start(&registry, &pipelines, Arc::clone(&stats), config, faults)
+            .expect("batch workers start");
         (batcher, stats, ds, offline)
+    }
+
+    fn rocket(batcher: &Batcher) -> &Lane<ModelEntry> {
+        batcher.model("rocket").expect("rocket lane")
     }
 
     #[test]
@@ -875,7 +746,7 @@ mod tests {
         let receivers: Vec<_> = ds
             .series()
             .iter()
-            .map(|s| batcher.submit("rocket", s.clone()).expect("queue open"))
+            .map(|s| rocket(&batcher).submit(s.clone()).expect("queue open"))
             .collect();
         let mut max_batch_seen = 0;
         for (rx, want) in receivers.into_iter().zip(&offline) {
@@ -903,13 +774,12 @@ mod tests {
         )
         .unwrap();
         let offline = &AugPipeline::from_config(&cfg).unwrap()[0];
+        let light = batcher.pipeline("light").expect("light lane");
         let receivers: Vec<_> = ds
             .series()
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                batcher.submit_augment("light", s.clone(), 7, i as u64).expect("queue open")
-            })
+            .map(|(i, s)| light.submit((s.clone(), 7, i as u64)).expect("queue open"))
             .collect();
         let mut max_batch_seen = 0;
         for (i, (rx, s)) in receivers.into_iter().zip(ds.series()).enumerate() {
@@ -919,24 +789,19 @@ mod tests {
             max_batch_seen = max_batch_seen.max(reply.batch_size);
         }
         assert!(max_batch_seen > 1, "expected coalescing, max batch {max_batch_seen}");
-        assert_eq!(
-            batcher.submit_augment("nope", ds.series()[0].clone(), 1, 0).err(),
-            Some(SubmitError::UnknownPipeline)
-        );
+        assert!(batcher.pipeline("nope").is_none());
         batcher.shutdown();
     }
 
     #[test]
     fn unknown_model_is_rejected_at_submit() {
-        let (batcher, _, ds, _) = start_batcher(BatchConfig {
+        let (batcher, _, _, _) = start_batcher(BatchConfig {
             max_batch: 4,
             max_wait: Duration::from_millis(1),
             ..BatchConfig::default()
         });
-        assert_eq!(
-            batcher.submit("nope", ds.series()[0].clone()).err(),
-            Some(SubmitError::UnknownModel)
-        );
+        assert!(batcher.model("nope").is_none());
+        assert!(batcher.pipeline("rocket").is_none(), "lanes are per kind");
         batcher.shutdown();
     }
 
@@ -974,7 +839,7 @@ mod tests {
         let mut kept = Vec::new();
         let mut shed = 0usize;
         for _ in 0..40 {
-            match batcher.submit("rocket", ds.series()[0].clone()) {
+            match rocket(&batcher).submit(ds.series()[0].clone()) {
                 Ok(rx) => kept.push(rx),
                 Err(SubmitError::Overloaded { retry_ms }) => {
                     assert!(retry_ms > 0);
@@ -1006,7 +871,7 @@ mod tests {
             start_batcher_with_faults(BatchConfig::default(), Some(Arc::clone(&plan)));
         for _ in 0..5 {
             assert!(matches!(
-                batcher.submit("rocket", ds.series()[0].clone()),
+                rocket(&batcher).submit(ds.series()[0].clone()),
                 Err(SubmitError::Overloaded { .. })
             ));
         }
@@ -1022,7 +887,7 @@ mod tests {
             ..BatchConfig::default()
         });
         let pending: Vec<_> = (0..4)
-            .map(|_| batcher.submit("rocket", ds.series()[0].clone()).expect("queue open"))
+            .map(|_| rocket(&batcher).submit(ds.series()[0].clone()).expect("queue open"))
             .collect();
         for p in pending {
             assert!(p.recv().result.is_ok());
@@ -1049,7 +914,7 @@ mod tests {
     fn abandoned_jobs_still_answer_the_waiting_connection() {
         // A ReplySlot dropped without send (worker died mid-batch)
         // must post a shutdown error instead of deadlocking the waiter.
-        let pool = TicketPool::<BatchReply>::warm(1);
+        let pool = TicketPool::<Label>::warm(1);
         let ticket = pool.take().expect("warm ticket");
         let slot = ReplySlot { ticket: Arc::clone(&ticket), sent: false };
         let pending = PendingReply { ticket, pool };
@@ -1060,7 +925,7 @@ mod tests {
 
     #[test]
     fn tickets_recycle_through_the_pool_without_stale_replies() {
-        let pool = TicketPool::<BatchReply>::warm(1);
+        let pool = TicketPool::<Label>::warm(1);
         for round in 0..3 {
             let ticket = pool.take().expect("pool stays warm across rounds");
             let slot = ReplySlot { ticket: Arc::clone(&ticket), sent: false };

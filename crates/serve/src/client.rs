@@ -591,10 +591,16 @@ mod tests {
     /// `overloaded` hint — `is_shed()` covers both markers.
     #[test]
     fn throttled_retry_hint_floors_the_backoff() {
-        use crate::protocol::{overloaded_response, throttled_response};
-        for (marker, reply) in
-            [("throttled", throttled_response(1, 60)), ("overloaded", overloaded_response(1, 60))]
-        {
+        use crate::protocol::{overloaded_response_into, throttled_response_into};
+        let build = |into: fn(&mut String, u64, u64)| {
+            let mut reply = String::new();
+            into(&mut reply, 1, 60);
+            reply
+        };
+        for (marker, reply) in [
+            ("throttled", build(throttled_response_into)),
+            ("overloaded", build(overloaded_response_into)),
+        ] {
             let (addr, server) = fake_server(vec![reply]);
             let policy = RetryPolicy {
                 max_attempts: 3,

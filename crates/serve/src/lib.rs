@@ -3,7 +3,7 @@
 //!
 //! The ROADMAP's north star is a system that serves prediction traffic,
 //! not a benchmark that trains and exits. This crate is that serving
-//! layer, built from four pieces:
+//! layer, built from these pieces:
 //!
 //! * [`protocol`] — newline-delimited JSON over TCP. Predict payloads
 //!   carry series in the `.ts` data-line layout
@@ -19,17 +19,19 @@
 //!   from a TOML file and served through the `augment` op on both
 //!   protocols; results are bit-identical to offline execution because
 //!   every pipeline is a pure function of `(seed, sample index)`.
-//! * [`batcher`] — one worker thread per model running an adaptive
-//!   micro-batch loop: flush when `max_batch` requests are pending or
-//!   `max_wait` has elapsed since the first, then run a single batched
-//!   predict on the shared compute pool. Per-series predictions are
+//! * [`batcher`] — one lane per model (predict) and per pipeline
+//!   (augment), every lane running the same adaptive micro-batch loop
+//!   on its own worker thread: flush when `max_batch` requests are
+//!   pending or `max_wait` has elapsed since the first, then run one
+//!   batched call on the shared compute pool. Per-series results are
 //!   batch-composition independent, so served labels are bit-identical
 //!   to offline `Classifier::predict` (asserted by the smoke test).
-//! * [`server`] — the accept loop, connection handlers, stats counters,
-//!   and graceful shutdown via a flag the SIGTERM/ctrl-c handler
-//!   ([`signal`]) and tests both flip. Shutdown drains: accepted
-//!   requests are answered and queued jobs predicted before threads
-//!   exit.
+//! * [`server`] — the accept loop, the connection loop, and the one
+//!   request pipeline (edge decode → dispatch → codec render) that the
+//!   server and the router both run; plus graceful shutdown via a flag
+//!   the SIGTERM/ctrl-c handler ([`signal`]) and tests both flip.
+//!   Shutdown drains: accepted requests are answered and queued jobs
+//!   run before threads exit.
 //! * [`faults`] — a seeded, deterministic fault-injection plan
 //!   (delayed/torn/dropped writes, corrupted request bytes, worker
 //!   stalls, load shedding) the chaos suites run the whole stack under.

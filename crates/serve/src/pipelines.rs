@@ -62,6 +62,11 @@ impl PipelineRegistry {
         self.pipelines.get(name)
     }
 
+    /// `(name, pipeline)` pairs in sorted name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&String, &Arc<AugPipeline>)> {
+        self.pipelines.iter()
+    }
+
     /// Pipeline names in sorted order.
     pub fn names(&self) -> Vec<String> {
         self.pipelines.keys().cloned().collect()

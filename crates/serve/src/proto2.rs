@@ -244,11 +244,7 @@ pub fn encode_request(req: &Request2) -> Vec<u8> {
             w.u8(REQ_PREDICT);
             w.u64(*id);
             w.string(model);
-            w.u32(series.n_dims() as u32);
-            w.u32(series.len() as u32);
-            for &v in series.as_flat() {
-                w.f64(v);
-            }
+            write_series(&mut w, series);
         }
         Request2::Stats { id } => {
             w.u8(REQ_STATS);
@@ -268,14 +264,20 @@ pub fn encode_request(req: &Request2) -> Vec<u8> {
             w.string(pipeline);
             w.u64(*seed);
             w.u64(*index);
-            w.u32(series.n_dims() as u32);
-            w.u32(series.len() as u32);
-            for &v in series.as_flat() {
-                w.f64(v);
-            }
+            write_series(&mut w, series);
         }
     }
     frame(w.into_bytes())
+}
+
+/// Write a `u32 n_dims | u32 len | f64 × (n_dims·len)` series block —
+/// shared tail of predict/augment requests and augment replies.
+fn write_series(w: &mut ByteWriter, series: &Mts) {
+    w.u32(series.n_dims() as u32);
+    w.u32(series.len() as u32);
+    for &v in series.as_flat() {
+        w.f64(v);
+    }
 }
 
 /// Read a `u32 n_dims | u32 len | f64 × (n_dims·len)` series block —
@@ -375,6 +377,19 @@ pub enum Routing {
     },
 }
 
+impl Routing {
+    /// The correlation id of any request.
+    pub fn id(&self) -> u64 {
+        match self {
+            Self::Predict { id, .. }
+            | Self::Stats { id }
+            | Self::List { id }
+            | Self::Ping { id }
+            | Self::Augment { id, .. } => *id,
+        }
+    }
+}
+
 /// FNV-1a over a byte slice: a deterministic, dependency-free content
 /// hash for rendezvous routing (not cryptographic; it only needs to
 /// spread keys evenly and stay stable across processes).
@@ -440,13 +455,6 @@ pub fn encode_reply_predict_into(out: &mut Vec<u8>, id: u64, label: u64, batch: 
     });
 }
 
-/// Encode a successful predict reply.
-pub fn encode_reply_predict(id: u64, label: u64, batch: u32, micros: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_reply_predict_into(&mut out, id, label, batch, micros);
-    out
-}
-
 /// Encode a successful augment reply into a reused buffer: the
 /// transformed series as raw f64 bit patterns (no text hop, bit-exact
 /// by construction).
@@ -456,19 +464,8 @@ pub fn encode_reply_augment_into(out: &mut Vec<u8>, id: u64, series: &Mts, batch
         w.u64(id);
         w.u32(batch);
         w.u64(micros);
-        w.u32(series.n_dims() as u32);
-        w.u32(series.len() as u32);
-        for &v in series.as_flat() {
-            w.f64(v);
-        }
+        write_series(w, series);
     });
-}
-
-/// Encode a successful augment reply.
-pub fn encode_reply_augment(id: u64, series: &Mts, batch: u32, micros: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_reply_augment_into(&mut out, id, series, batch, micros);
-    out
 }
 
 /// Encode an error reply into a reused buffer. `retry_ms` is meaningful
@@ -489,13 +486,6 @@ pub fn encode_reply_error_into(
     });
 }
 
-/// Encode an error reply.
-pub fn encode_reply_error(id: u64, code: ErrCode, message: &str, retry_ms: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_reply_error_into(&mut out, id, code, message, retry_ms);
-    out
-}
-
 /// Encode a result reply (stats / list) into a reused buffer. The
 /// payload reuses the JSON value tree — these ops are observability,
 /// not the hot path.
@@ -507,13 +497,6 @@ pub fn encode_reply_result_into(out: &mut Vec<u8>, id: u64, value: &Value) {
         // fallback if that invariant ever breaks.
         w.string(&serde_json::to_string(value).unwrap_or_else(|_| "{}".to_string()));
     });
-}
-
-/// Encode a result reply (stats / list).
-pub fn encode_reply_result(id: u64, value: &Value) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_reply_result_into(&mut out, id, value);
-    out
 }
 
 /// Decode one reply body (CRC already checked) into the shared
@@ -612,6 +595,13 @@ pub fn decode_reply(body: &[u8]) -> Result<Response, String> {
 mod tests {
     use super::*;
 
+    /// Encode one reply frame through an `_into` encoder.
+    fn encoded(build: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        build(&mut out);
+        out
+    }
+
     fn series() -> Mts {
         Mts::from_flat(2, 3, vec![1.0, -2.5, f64::MIN_POSITIVE, 0.0, 1e300, -0.0])
     }
@@ -644,25 +634,26 @@ mod tests {
 
     #[test]
     fn replies_round_trip_with_canonical_shed_markers() {
-        let mut buf = encode_reply_predict(7, 3, 16, 812);
+        let mut buf = encoded(|o| encode_reply_predict_into(o, 7, 3, 16, 812));
         let raw = take_frame(&mut buf).unwrap().unwrap();
         let r = decode_reply(check_frame(&raw).unwrap()).unwrap();
         assert!(r.ok);
         assert_eq!((r.id, r.label, r.batch, r.micros), (7, Some(3), Some(16), Some(812)));
 
-        let mut buf = encode_reply_error(9, ErrCode::Overloaded, "queue full", 25);
+        let mut buf =
+            encoded(|o| encode_reply_error_into(o, 9, ErrCode::Overloaded, "queue full", 25));
         let raw = take_frame(&mut buf).unwrap().unwrap();
         let r = decode_reply(check_frame(&raw).unwrap()).unwrap();
         assert!(r.is_overloaded());
         assert_eq!(r.retry_ms, Some(25));
 
-        let mut buf = encode_reply_error(9, ErrCode::Throttled, "quota", 40);
+        let mut buf = encoded(|o| encode_reply_error_into(o, 9, ErrCode::Throttled, "quota", 40));
         let raw = take_frame(&mut buf).unwrap().unwrap();
         let r = decode_reply(check_frame(&raw).unwrap()).unwrap();
         assert!(r.is_throttled() && !r.is_overloaded());
         assert_eq!(r.retry_ms, Some(40));
 
-        let mut buf = encode_reply_error(9, ErrCode::Error, "bad series", 0);
+        let mut buf = encoded(|o| encode_reply_error_into(o, 9, ErrCode::Error, "bad series", 0));
         let raw = take_frame(&mut buf).unwrap().unwrap();
         let r = decode_reply(check_frame(&raw).unwrap()).unwrap();
         assert!(!r.ok && r.retry_ms.is_none());
@@ -761,7 +752,7 @@ mod tests {
         };
         assert_ne!(key, key2);
 
-        let mut buf = encode_reply_augment(21, &series(), 4, 55);
+        let mut buf = encoded(|o| encode_reply_augment_into(o, 21, &series(), 4, 55));
         let raw = take_frame(&mut buf).unwrap().unwrap();
         let r = decode_reply(check_frame(&raw).unwrap()).unwrap();
         assert!(r.ok);

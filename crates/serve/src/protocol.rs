@@ -161,12 +161,12 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-// The response builders come in pairs: an `_into` form appending to a
-// caller-owned buffer — the connection loop reuses one String per
-// connection, so a warm connection answers without allocating for the
-// envelope — and an owned form delegating to it. The JSON is written
-// directly (same key order, same escaping, integer-printed counters)
-// and is byte-identical to what the old Value-tree path produced.
+// The response builders append to a caller-owned buffer — the
+// connection loop reuses one String per connection, so a warm
+// connection answers without allocating for the envelope. The JSON is
+// written directly (same key order, same escaping, integer-printed
+// counters) and is byte-identical to what the old Value-tree path
+// produced.
 
 /// Successful predict response, appended to `out`.
 pub fn predict_response_into(
@@ -181,13 +181,6 @@ pub fn predict_response_into(
     let _ = write!(out, "{{\"id\":{id},\"ok\":true,\"model\":");
     push_json_str(out, model);
     let _ = write!(out, ",\"label\":{label},\"batch\":{batch},\"micros\":{micros}}}");
-}
-
-/// Successful predict response.
-pub fn predict_response(id: u64, model: &str, label: usize, batch: usize, micros: u64) -> String {
-    let mut out = String::new();
-    predict_response_into(&mut out, id, model, label, batch, micros);
-    out
 }
 
 /// Successful augment response, appended to `out`. The series is `.ts`
@@ -210,13 +203,6 @@ pub fn augment_response_into(
     let _ = write!(out, ",\"batch\":{batch},\"micros\":{micros}}}");
 }
 
-/// Successful augment response.
-pub fn augment_response(id: u64, pipeline: &str, series: &Mts, batch: usize, micros: u64) -> String {
-    let mut out = String::new();
-    augment_response_into(&mut out, id, pipeline, series, batch, micros);
-    out
-}
-
 /// Error response for any request, appended to `out`.
 pub fn error_response_into(out: &mut String, id: u64, message: &str) {
     use std::fmt::Write;
@@ -225,17 +211,12 @@ pub fn error_response_into(out: &mut String, id: u64, message: &str) {
     out.push('}');
 }
 
-/// Error response for any request.
-pub fn error_response(id: u64, message: &str) -> String {
-    let mut out = String::new();
-    error_response_into(&mut out, id, message);
-    out
-}
-
 /// The marker error string in load-shedding replies.
 pub const OVERLOADED: &str = "overloaded";
 
-/// Load-shedding reply, appended to `out`.
+/// Load-shedding reply, appended to `out`: the queue is full (or the
+/// fault plan sheds); the client should back off roughly `retry_ms`
+/// and retry.
 pub fn overloaded_response_into(out: &mut String, id: u64, retry_ms: u64) {
     use std::fmt::Write;
     let _ = write!(
@@ -244,32 +225,17 @@ pub fn overloaded_response_into(out: &mut String, id: u64, retry_ms: u64) {
     );
 }
 
-/// Load-shedding reply: the queue is full (or the fault plan sheds);
-/// the client should back off roughly `retry_ms` and retry.
-pub fn overloaded_response(id: u64, retry_ms: u64) -> String {
-    let mut out = String::new();
-    overloaded_response_into(&mut out, id, retry_ms);
-    out
-}
-
 /// The marker error string in admission-control refusals.
 pub const THROTTLED: &str = "throttled";
 
-/// Admission-control refusal, appended to `out`.
+/// Admission-control refusal, appended to `out`: the client's token
+/// bucket is empty; one token refills in roughly `retry_ms`.
 pub fn throttled_response_into(out: &mut String, id: u64, retry_ms: u64) {
     use std::fmt::Write;
     let _ = write!(
         out,
         "{{\"id\":{id},\"ok\":false,\"error\":\"{THROTTLED}\",\"retry_ms\":{retry_ms}}}"
     );
-}
-
-/// Admission-control refusal: the client's token bucket is empty; one
-/// token refills in roughly `retry_ms`.
-pub fn throttled_response(id: u64, retry_ms: u64) -> String {
-    let mut out = String::new();
-    throttled_response_into(&mut out, id, retry_ms);
-    out
 }
 
 /// Generic success response wrapping a payload under `"result"`,
@@ -279,13 +245,6 @@ pub fn result_response_into(out: &mut String, id: u64, result: &Value) {
     let _ = write!(out, "{{\"id\":{id},\"ok\":true,\"result\":");
     serde_json::append_to_string(result, out);
     out.push('}');
-}
-
-/// Generic success response wrapping a payload under `"result"`.
-pub fn result_response(id: u64, result: Value) -> String {
-    let mut out = String::new();
-    result_response_into(&mut out, id, &result);
-    out
 }
 
 /// A parsed server response, as seen by clients.
@@ -359,6 +318,13 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
 mod tests {
     use super::*;
 
+    /// Render one response line through an `_into` builder.
+    fn render(build: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        build(&mut out);
+        out
+    }
+
     #[test]
     fn predict_request_round_trip() {
         let r = parse_request(r#"{"id":7,"op":"predict","model":"rocket","series":"1,2:3,4"}"#)
@@ -384,36 +350,36 @@ mod tests {
 
     #[test]
     fn responses_parse_back() {
-        let line = predict_response(5, "rocket", 2, 8, 1234);
+        let line = render(|o| predict_response_into(o, 5, "rocket", 2, 8, 1234));
         let r = parse_response(&line).unwrap();
         assert!(r.ok);
         assert_eq!((r.id, r.label, r.batch, r.micros), (5, Some(2), Some(8), Some(1234)));
-        let e = parse_response(&error_response(6, "nope")).unwrap();
+        let e = parse_response(&render(|o| error_response_into(o, 6, "nope"))).unwrap();
         assert!(!e.ok);
         assert_eq!(e.error.as_deref(), Some("nope"));
     }
 
     #[test]
     fn overloaded_response_round_trips_the_retry_hint() {
-        let line = overloaded_response(12, 25);
+        let line = render(|o| overloaded_response_into(o, 12, 25));
         let r = parse_response(&line).unwrap();
         assert!(!r.ok);
         assert!(r.is_overloaded());
         assert_eq!((r.id, r.retry_ms), (12, Some(25)));
         // Non-overloaded errors do not claim to be shedding.
-        let e = parse_response(&error_response(3, "bad series")).unwrap();
+        let e = parse_response(&render(|o| error_response_into(o, 3, "bad series"))).unwrap();
         assert!(!e.is_overloaded());
         assert_eq!(e.retry_ms, None);
     }
 
     #[test]
     fn throttled_response_round_trips_and_is_shed() {
-        let r = parse_response(&throttled_response(4, 120)).unwrap();
+        let r = parse_response(&render(|o| throttled_response_into(o, 4, 120))).unwrap();
         assert!(r.is_throttled() && r.is_shed() && !r.is_overloaded());
         assert_eq!((r.id, r.retry_ms), (4, Some(120)));
-        let o = parse_response(&overloaded_response(5, 20)).unwrap();
+        let o = parse_response(&render(|o| overloaded_response_into(o, 5, 20))).unwrap();
         assert!(o.is_shed() && !o.is_throttled());
-        let e = parse_response(&error_response(6, "nope")).unwrap();
+        let e = parse_response(&render(|o| error_response_into(o, 6, "nope"))).unwrap();
         assert!(!e.is_shed());
     }
 
@@ -434,7 +400,8 @@ mod tests {
             }
         );
         let s = Mts::from_dims(vec![vec![0.25, -1.5, 3.0e-7], vec![0.1 + 0.2, 1.0, -0.0]]);
-        let resp = parse_response(&augment_response(8, "light", &s, 4, 99)).unwrap();
+        let line = render(|o| augment_response_into(o, 8, "light", &s, 4, 99));
+        let resp = parse_response(&line).unwrap();
         assert!(resp.ok);
         assert_eq!(resp.series.as_ref(), Some(&s), "text hop must be bit-exact");
         assert_eq!((resp.batch, resp.micros), (Some(4), Some(99)));
@@ -465,7 +432,7 @@ mod tests {
             ("micros".into(), Value::Num(1234.0)),
         ]))
         .unwrap();
-        assert_eq!(predict_response(5, tricky, 2, 8, 1234), want);
+        assert_eq!(render(|o| predict_response_into(o, 5, tricky, 2, 8, 1234)), want);
 
         let want = serde_json::to_string(&Value::Object(vec![
             ("id".into(), Value::Num(0.0)),
@@ -473,7 +440,7 @@ mod tests {
             ("error".into(), Value::Str(tricky.into())),
         ]))
         .unwrap();
-        assert_eq!(error_response(0, tricky), want);
+        assert_eq!(render(|o| error_response_into(o, 0, tricky)), want);
 
         let payload = Value::Object(vec![
             ("names".into(), Value::Array(vec![Value::Str("a\tb".into()), Value::Null])),
@@ -485,7 +452,7 @@ mod tests {
             ("result".into(), payload.clone()),
         ]))
         .unwrap();
-        assert_eq!(result_response(9, payload), want);
+        assert_eq!(render(|o| result_response_into(o, 9, &payload)), want);
 
         let want = serde_json::to_string(&Value::Object(vec![
             ("id".into(), Value::Num(12.0)),
@@ -494,7 +461,7 @@ mod tests {
             ("retry_ms".into(), Value::Num(25.0)),
         ]))
         .unwrap();
-        assert_eq!(overloaded_response(12, 25), want);
+        assert_eq!(render(|o| overloaded_response_into(o, 12, 25)), want);
 
         let s = Mts::from_dims(vec![vec![0.25, -1.5], vec![3.0e-7, 1.0]]);
         let want = serde_json::to_string(&Value::Object(vec![
@@ -509,7 +476,7 @@ mod tests {
             ("micros".into(), Value::Num(99.0)),
         ]))
         .unwrap();
-        assert_eq!(augment_response(8, "light", &s, 4, 99), want);
+        assert_eq!(render(|o| augment_response_into(o, 8, "light", &s, 4, 99)), want);
 
         let want = serde_json::to_string(&Value::Object(vec![
             ("id".into(), Value::Num(4.0)),
@@ -518,6 +485,6 @@ mod tests {
             ("retry_ms".into(), Value::Num(120.0)),
         ]))
         .unwrap();
-        assert_eq!(throttled_response(4, 120), want);
+        assert_eq!(render(|o| throttled_response_into(o, 4, 120)), want);
     }
 }

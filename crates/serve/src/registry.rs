@@ -9,7 +9,7 @@
 
 use serde::Value;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use tsda_classify::persist::SavedModel;
 use tsda_classify::{InceptionTime, MiniRocket, RidgeClassifier, Rocket};
 use tsda_core::{Dataset, Label, Mts, TsdaError};
@@ -204,7 +204,7 @@ impl ModelEntry {
 /// All models served by one server instance, keyed by name.
 #[derive(Default)]
 pub struct ModelRegistry {
-    models: BTreeMap<String, ModelEntry>,
+    models: BTreeMap<String, Arc<ModelEntry>>,
 }
 
 impl ModelRegistry {
@@ -215,17 +215,17 @@ impl ModelRegistry {
 
     /// Insert an entry under its name (replacing any previous holder).
     pub fn insert(&mut self, entry: ModelEntry) {
-        self.models.insert(entry.name.clone(), entry);
+        self.models.insert(entry.name.clone(), Arc::new(entry));
     }
 
     /// Look up a model by name.
-    pub fn get(&self, name: &str) -> Option<&ModelEntry> {
+    pub fn get(&self, name: &str) -> Option<&Arc<ModelEntry>> {
         self.models.get(name)
     }
 
-    /// Model names in sorted order.
-    pub fn names(&self) -> Vec<String> {
-        self.models.keys().cloned().collect()
+    /// `(name, entry)` pairs in sorted name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&String, &Arc<ModelEntry>)> {
+        self.models.iter()
     }
 
     /// Number of registered models.
@@ -240,7 +240,7 @@ impl ModelRegistry {
 
     /// `list` endpoint payload.
     pub fn describe(&self) -> Value {
-        Value::Array(self.models.values().map(ModelEntry::describe).collect())
+        Value::Array(self.models.values().map(|m| m.describe()).collect())
     }
 }
 
@@ -298,7 +298,7 @@ mod tests {
         rocket.fit(&train, None, &mut seeded(5));
         let mut reg = ModelRegistry::new();
         reg.insert(ModelEntry::from_saved("rocket", SavedModel::Rocket(rocket), None).unwrap());
-        assert_eq!(reg.names(), vec!["rocket".to_string()]);
+        assert_eq!(reg.iter().map(|(name, _)| name.as_str()).collect::<Vec<_>>(), ["rocket"]);
         assert!(reg.get("rocket").is_some());
         assert!(reg.get("nope").is_none());
         let listing = serde_json::to_string(&reg.describe()).unwrap();

@@ -2,8 +2,11 @@
 //! replica `tsda_serve` processes.
 //!
 //! The router owns no models. It accepts client connections on one
-//! address, speaks both wire protocols (same first-byte negotiation as
-//! [`crate::server`]), and forwards predict traffic to backend replicas
+//! address and runs the server's own connection loop and request
+//! pipeline (`server::handle_connection`) with a routing
+//! handler in place of the batcher, so both wire protocols, their
+//! negotiation, and the error accounting are the server's by
+//! construction. It forwards predict traffic to backend replicas
 //! *verbatim* — a v2 frame is relayed as the same bytes it arrived in
 //! (see [`proto2::reframe`]), an NDJSON line as the same line — so the
 //! router never re-encodes payloads and adds only a routing-header
@@ -47,14 +50,14 @@
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::client::{wait_ready, Proto};
-use crate::proto2;
-use crate::protocol::{
-    error_response, parse_request, result_response, throttled_response, Request,
-};
+use crate::proto2::{self, Routing};
+use crate::protocol::{parse_request, Request};
+use crate::server::{accept_loop, bind, handle_connection, Handler, Outcome, Wire};
 use serde::Value;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -311,7 +314,7 @@ impl Backend {
         Ok(backend)
     }
 
-    /// Relay one NDJSON line; returns the raw reply line (no newline).
+    /// Relay one NDJSON line; returns the reply line, newline included.
     fn forward_line(&mut self, line: &str) -> Result<String, String> {
         self.writer
             .write_all(line.as_bytes())
@@ -323,6 +326,7 @@ impl Backend {
             return Err("replica closed mid-reply".into());
         }
         reply.truncate(reply.trim_end_matches(['\r', '\n']).len());
+        reply.push('\n');
         Ok(reply)
     }
 
@@ -346,18 +350,15 @@ impl Backend {
 }
 
 /// Per-connection pool of backend sockets, keyed by replica index and
-/// discarded when the replica's generation moves on (restart).
+/// discarded when the replica's generation moves on (restart). A
+/// frontend connection speaks one codec, so its backend sockets do too.
+#[derive(Default)]
 struct BackendPool {
-    proto: Proto,
     conns: BTreeMap<usize, Backend>,
 }
 
 impl BackendPool {
-    fn new(proto: Proto) -> Self {
-        Self { proto, conns: BTreeMap::new() }
-    }
-
-    fn acquire(&mut self, replica: &Replica) -> Result<&mut Backend, String> {
+    fn acquire(&mut self, replica: &Replica, proto: Proto) -> Result<&mut Backend, String> {
         let generation = replica.generation.load(Ordering::Relaxed);
         let stale = self
             .conns
@@ -366,17 +367,32 @@ impl BackendPool {
         if stale {
             self.conns.remove(&replica.index);
         }
-        if !self.conns.contains_key(&replica.index) {
-            let backend = Backend::connect(&replica.current_addr(), self.proto, generation)?;
-            self.conns.insert(replica.index, backend);
+        match self.conns.entry(replica.index) {
+            Entry::Occupied(slot) => Ok(slot.into_mut()),
+            Entry::Vacant(slot) => {
+                Ok(slot.insert(Backend::connect(&replica.current_addr(), proto, generation)?))
+            }
         }
-        self.conns
-            .get_mut(&replica.index)
-            .ok_or_else(|| "backend connection missing".to_string())
     }
 
-    fn drop_conn(&mut self, index: usize) {
-        self.conns.remove(&index);
+    /// Relay one request to `replica`. A failure takes the replica out
+    /// of rotation until the monitor re-admits it, and drops its socket:
+    /// a half-read reply desyncs it for good.
+    fn relay(&mut self, replica: &Replica, wire: Wire<'_>) -> Result<Vec<u8>, String> {
+        let relayed = match wire {
+            Wire::Line(line) => self
+                .acquire(replica, Proto::Ndjson)
+                .and_then(|b| b.forward_line(line))
+                .map(String::into_bytes),
+            Wire::Frame(raw) => self
+                .acquire(replica, Proto::V2)
+                .and_then(|b| b.forward_frame(&proto2::reframe(raw))),
+        };
+        relayed.map_err(|e| {
+            replica.healthy.store(false, Ordering::Relaxed);
+            self.conns.remove(&replica.index);
+            format!("replica {}: {e}", replica.index)
+        })
     }
 }
 
@@ -507,14 +523,7 @@ impl Router {
 
         let addr_spec =
             if config.addr.is_empty() { "127.0.0.1:0" } else { config.addr.as_str() };
-        let listener = TcpListener::bind(addr_spec)
-            .map_err(|e| TsdaError::InvalidParameter(format!("bind {addr_spec}: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| TsdaError::InvalidParameter(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| TsdaError::InvalidParameter(format!("set_nonblocking: {e}")))?;
+        let (listener, addr) = bind(addr_spec)?;
 
         let ctx = Arc::new(RouterCtx {
             replicas,
@@ -541,7 +550,14 @@ impl Router {
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("tsda-router-accept".into())
-                .spawn(move || router_accept_loop(&listener, &ctx, &shutdown))
+                .spawn(move || {
+                    let serve_conn = move |stream, peer, shutdown: &AtomicBool| {
+                        let mut conn = RouterConn { ctx: &ctx, peer, pool: BackendPool::default() };
+                        // The router injects no faults of its own.
+                        handle_connection(stream, shutdown, None, &mut conn);
+                    };
+                    accept_loop(&listener, &shutdown, "tsda-router-conn", serve_conn)
+                })
                 .map_err(|e| TsdaError::InvalidParameter(format!("spawn accept thread: {e}")))?
         };
 
@@ -671,327 +687,91 @@ fn check_replica(replica: &Replica, shutdown: &AtomicBool, ready_secs: u64) {
     }
 }
 
-/// Accept loop for the frontend (mirrors the server's).
-fn router_accept_loop(listener: &TcpListener, ctx: &Arc<RouterCtx>, shutdown: &Arc<AtomicBool>) {
-    let mut conn_threads = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nodelay(true).ok();
-                let ctx = Arc::clone(ctx);
-                let shutdown = Arc::clone(shutdown);
-                if let Ok(t) = std::thread::Builder::new()
-                    .name("tsda-router-conn".into())
-                    .spawn(move || handle_router_connection(stream, &ctx, &shutdown))
-                {
-                    conn_threads.push(t);
-                }
-                conn_threads.retain(|t| !t.is_finished());
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    for t in conn_threads {
-        let _ = t.join();
-    }
+/// One frontend connection's routing state.
+struct RouterConn<'a> {
+    ctx: &'a RouterCtx,
+    /// Admission key: the peer IP.
+    peer: String,
+    pool: BackendPool,
 }
 
-/// The wire protocol a frontend connection settled on.
-enum Mode {
-    Undecided,
-    Ndjson,
-    V2,
-}
+/// The router decodes both codecs into the same [`Routing`] header —
+/// only what placement needs — and relays the request bytes verbatim,
+/// so it never re-encodes a payload.
+impl Handler for RouterConn<'_> {
+    type Op = Routing;
 
-/// One frontend connection: negotiate, then route request-by-request.
-/// Same read-timeout poll and shutdown drain as the server's handler.
-fn handle_router_connection(stream: TcpStream, ctx: &RouterCtx, shutdown: &AtomicBool) {
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.ip().to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    if reader.set_read_timeout(Some(Duration::from_millis(100))).is_err() {
-        return;
+    fn errors(&self) -> &AtomicU64 {
+        &self.ctx.stats.errors
     }
-    let mut writer = stream;
-    let mut buf = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
-    let mut mode = Mode::Undecided;
-    let mut lines_pool = BackendPool::new(Proto::Ndjson);
-    let mut frames_pool = BackendPool::new(Proto::V2);
-    loop {
-        // Negotiation: identical first-byte rule to the server.
-        if matches!(mode, Mode::Undecided) && !buf.is_empty() {
-            if buf[0] != proto2::PREAMBLE[0] {
-                mode = Mode::Ndjson;
-            } else if buf.len() >= proto2::PREAMBLE.len() {
-                if buf[..proto2::PREAMBLE.len()] == proto2::PREAMBLE {
-                    buf.drain(..proto2::PREAMBLE.len());
-                    mode = Mode::V2;
-                } else {
-                    ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    let mut resp = error_response(0, "bad protocol preamble").into_bytes();
-                    resp.push(b'\n');
-                    let _delivered = writer.write_all(&resp).is_ok();
-                    return;
-                }
+
+    fn decode_line(line: &str) -> Result<(u64, Routing), (u64, String)> {
+        let key = |series: &str| proto2::fnv1a(series.as_bytes());
+        let routing = match parse_request(line)? {
+            Request::Predict { id, model, series } => {
+                Routing::Predict { id, model, key: key(&series) }
             }
-        }
-        let keep = match mode {
-            Mode::Undecided => true,
-            Mode::Ndjson => route_buffered_lines(&mut buf, &mut writer, ctx, &peer, &mut lines_pool),
-            Mode::V2 => route_buffered_frames(&mut buf, &mut writer, ctx, &peer, &mut frames_pool),
+            Request::Augment { id, pipeline, series, .. } => {
+                Routing::Augment { id, pipeline, key: key(&series) }
+            }
+            Request::Stats { id } => Routing::Stats { id },
+            Request::List { id } => Routing::List { id },
+            Request::Ping { id } => Routing::Ping { id },
         };
-        if !keep {
-            return;
-        }
-        if shutdown.load(Ordering::Relaxed) {
-            // Final drain, same contract as the server: everything the
-            // peer already sent gets an answer.
-            loop {
-                match reader.read(&mut chunk) {
-                    Ok(0) => break,
-                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-            match mode {
-                Mode::Undecided => {}
-                Mode::Ndjson => {
-                    route_buffered_lines(&mut buf, &mut writer, ctx, &peer, &mut lines_pool);
-                }
-                Mode::V2 => {
-                    route_buffered_frames(&mut buf, &mut writer, ctx, &peer, &mut frames_pool);
-                }
-            }
-            return;
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
+        Ok((routing.id(), routing))
     }
-}
 
-/// Pop complete NDJSON lines and answer each (routing predicts).
-fn route_buffered_lines(
-    buf: &mut Vec<u8>,
-    writer: &mut TcpStream,
-    ctx: &RouterCtx,
-    peer: &str,
-    pool: &mut BackendPool,
-) -> bool {
-    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-        let mut line: Vec<u8> = buf.drain(..=pos).collect();
-        line.pop();
-        let line = String::from_utf8_lossy(&line).into_owned();
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut reply = handle_router_line(line, ctx, peer, pool);
-        reply.push('\n');
-        if writer.write_all(reply.as_bytes()).is_err() {
-            return false;
-        }
+    fn decode_body(body: &[u8]) -> Result<(u64, Routing), (u64, String)> {
+        proto2::decode_routing(body).map(|routing| (routing.id(), routing))
     }
-    true
-}
 
-/// Answer one NDJSON request at the router.
-fn handle_router_line(
-    line: &str,
-    ctx: &RouterCtx,
-    peer: &str,
-    pool: &mut BackendPool,
-) -> String {
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err((id, msg)) => {
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return error_response(id, &msg);
-        }
-    };
-    match request {
-        Request::Predict { id, model, series } => {
-            ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-            if let Some(adm) = &ctx.admission {
-                if let Err(retry_ms) = adm.admit(peer) {
-                    ctx.stats.throttled.fetch_add(1, Ordering::Relaxed);
-                    return throttled_response(id, retry_ms);
-                }
-            }
-            let key = proto2::fnv1a(series.as_bytes());
-            forward_with_failover(ctx, pool, Some(&model), key, |backend| {
-                backend.forward_line(line)
-            })
-            .unwrap_or_else(|msg| {
-                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                error_response(id, &msg)
-            })
-        }
-        Request::Augment { id, series, .. } => {
-            ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-            if let Some(adm) = &ctx.admission {
-                if let Err(retry_ms) = adm.admit(peer) {
-                    ctx.stats.throttled.fetch_add(1, Ordering::Relaxed);
-                    return throttled_response(id, retry_ms);
-                }
-            }
-            // Pipelines are not sharded: every replica loads the same
-            // TOML, so any healthy replica can answer. Key on the
-            // series content so hash routing stays sticky per sample.
-            let key = proto2::fnv1a(series.as_bytes());
-            forward_with_failover(ctx, pool, None, key, |backend| backend.forward_line(line))
-                .unwrap_or_else(|msg| {
-                    ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    error_response(id, &msg)
-                })
-        }
-        Request::Stats { id } => result_response(id, ctx.snapshot()),
-        Request::Ping { id } => result_response(id, Value::Str("pong".to_string())),
-        Request::List { id } => {
+    fn respond(&mut self, routing: Routing, wire: Wire<'_>) -> Outcome {
+        let relayed = match routing {
+            Routing::Stats { .. } => return Outcome::Result(self.ctx.snapshot()),
+            Routing::Ping { .. } => return Outcome::Result(Value::Str("pong".to_string())),
             // Any healthy replica can describe its models; aggregate
             // placement lives in the stats snapshot.
-            forward_any(ctx, pool, |backend| backend.forward_line(line)).unwrap_or_else(|msg| {
-                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                error_response(id, &msg)
-            })
-        }
-    }
-}
-
-/// Pop complete v2 frames and answer each (routing predicts verbatim).
-fn route_buffered_frames(
-    buf: &mut Vec<u8>,
-    writer: &mut TcpStream,
-    ctx: &RouterCtx,
-    peer: &str,
-    pool: &mut BackendPool,
-) -> bool {
-    loop {
-        let raw = match proto2::take_frame(buf) {
-            Ok(Some(raw)) => raw,
-            Ok(None) => return true,
-            Err(msg) => {
-                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                let reply = proto2::encode_reply_error(0, proto2::ErrCode::Error, &msg, 0);
-                let _delivered = writer.write_all(&reply).is_ok();
-                return false;
-            }
+            Routing::List { .. } => forward_any(self.ctx, &mut self.pool, wire).map(Outcome::Relay),
+            Routing::Predict { model, key, .. } => self.route(Some(&model), key, wire),
+            // Pipelines are not sharded: every replica loads the same
+            // TOML, so any healthy replica can answer; the content key
+            // keeps hash routing sticky per sample.
+            Routing::Augment { key, .. } => self.route(None, key, wire),
         };
-        let reply = handle_router_frame(&raw, ctx, peer, pool);
-        if writer.write_all(&reply).is_err() {
-            return false;
-        }
+        relayed.unwrap_or_else(|msg| {
+            self.ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
+            Outcome::Failed(msg)
+        })
     }
 }
 
-/// Answer one raw v2 frame at the router. Predicts are relayed as the
-/// exact bytes that arrived; only the routing header is decoded.
-fn handle_router_frame(
-    raw: &[u8],
-    ctx: &RouterCtx,
-    peer: &str,
-    pool: &mut BackendPool,
-) -> Vec<u8> {
-    let body = match proto2::check_frame(raw) {
-        Ok(b) => b,
-        Err(msg) => {
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return proto2::encode_reply_error(0, proto2::ErrCode::Error, &msg, 0);
-        }
-    };
-    let routing = match proto2::decode_routing(body) {
-        Ok(r) => r,
-        Err((id, msg)) => {
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return proto2::encode_reply_error(id, proto2::ErrCode::Error, &msg, 0);
-        }
-    };
-    match routing {
-        proto2::Routing::Predict { id, model, key } => {
-            ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-            if let Some(adm) = &ctx.admission {
-                if let Err(retry_ms) = adm.admit(peer) {
-                    ctx.stats.throttled.fetch_add(1, Ordering::Relaxed);
-                    return proto2::encode_reply_error(
-                        id,
-                        proto2::ErrCode::Throttled,
-                        "throttled",
-                        retry_ms,
-                    );
-                }
+impl RouterConn<'_> {
+    /// The one route step for predict and augment: admission, then
+    /// placement by content key with failover across the healthy
+    /// candidates. `Err` only when every candidate failed.
+    fn route(&mut self, model: Option<&str>, key: u64, wire: Wire<'_>) -> Result<Outcome, String> {
+        let ctx = self.ctx;
+        ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
+        if let Some(adm) = &ctx.admission {
+            if let Err(retry_ms) = adm.admit(&self.peer) {
+                ctx.stats.throttled.fetch_add(1, Ordering::Relaxed);
+                return Ok(Outcome::Throttled(retry_ms));
             }
-            let frame = proto2::reframe(raw);
-            forward_with_failover(ctx, pool, Some(&model), key, |backend| {
-                backend.forward_frame(&frame)
-            })
-            .unwrap_or_else(|msg| {
-                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                proto2::encode_reply_error(id, proto2::ErrCode::Error, &msg, 0)
-            })
         }
-        proto2::Routing::Augment { id, key, .. } => {
-            ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-            if let Some(adm) = &ctx.admission {
-                if let Err(retry_ms) = adm.admit(peer) {
-                    ctx.stats.throttled.fetch_add(1, Ordering::Relaxed);
-                    return proto2::encode_reply_error(
-                        id,
-                        proto2::ErrCode::Throttled,
-                        "throttled",
-                        retry_ms,
-                    );
-                }
-            }
-            // Any healthy replica serves every pipeline; relay the
-            // frame verbatim under the payload content key.
-            let frame = proto2::reframe(raw);
-            forward_with_failover(ctx, pool, None, key, |backend| backend.forward_frame(&frame))
-                .unwrap_or_else(|msg| {
-                    ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    proto2::encode_reply_error(id, proto2::ErrCode::Error, &msg, 0)
-                })
-        }
-        proto2::Routing::Stats { id } => proto2::encode_reply_result(id, &ctx.snapshot()),
-        proto2::Routing::Ping { id } => {
-            proto2::encode_reply_result(id, &Value::Str("pong".to_string()))
-        }
-        proto2::Routing::List { id } => {
-            let frame = proto2::reframe(raw);
-            forward_any(ctx, pool, |backend| backend.forward_frame(&frame)).unwrap_or_else(
-                |msg| {
-                    ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    proto2::encode_reply_error(id, proto2::ErrCode::Error, &msg, 0)
-                },
-            )
-        }
+        forward_with_failover(ctx, &mut self.pool, model, key, wire).map(Outcome::Relay)
     }
 }
 
 /// Forward one request to the best replica for `model`, failing over
-/// across every healthy candidate. A replica whose forward fails is
-/// marked unhealthy (the monitor probes or restarts it back) and its
-/// pooled socket dropped. `Err` only when every candidate failed.
-fn forward_with_failover<T>(
+/// across every healthy candidate. `Err` only when every candidate
+/// failed.
+fn forward_with_failover(
     ctx: &RouterCtx,
     pool: &mut BackendPool,
     model: Option<&str>,
     key: u64,
-    mut send: impl FnMut(&mut Backend) -> Result<T, String>,
-) -> Result<T, String> {
+    wire: Wire<'_>,
+) -> Result<Vec<u8>, String> {
     let mut tried = Vec::new();
     let mut last_err = match model {
         Some(m) => format!("no healthy replica serves model {m:?}"),
@@ -1000,7 +780,7 @@ fn forward_with_failover<T>(
     while let Some(replica) = ctx.pick(model, key, &tried) {
         tried.push(replica.index);
         replica.in_flight.fetch_add(1, Ordering::Relaxed);
-        let outcome = pool.acquire(replica).and_then(&mut send);
+        let outcome = pool.relay(replica, wire);
         replica.in_flight.fetch_sub(1, Ordering::Relaxed);
         match outcome {
             Ok(reply) => {
@@ -1011,45 +791,23 @@ fn forward_with_failover<T>(
                 }
                 return Ok(reply);
             }
-            Err(e) => {
-                // The replica is gone or misbehaving: out of rotation
-                // until the monitor re-admits it, and this socket can
-                // never be trusted again (a half-read reply desyncs).
-                replica.healthy.store(false, Ordering::Relaxed);
-                pool.drop_conn(replica.index);
-                last_err = format!("replica {}: {e}", replica.index);
-            }
+            Err(e) => last_err = e,
         }
     }
     Err(last_err)
 }
 
-/// Forward to any healthy replica (for model-agnostic ops like `list`).
-fn forward_any<T>(
-    ctx: &RouterCtx,
-    pool: &mut BackendPool,
-    mut send: impl FnMut(&mut Backend) -> Result<T, String>,
-) -> Result<T, String> {
-    let mut tried = Vec::new();
+/// Forward to the first healthy replica that answers (for
+/// model-agnostic ops like `list`).
+fn forward_any(ctx: &RouterCtx, pool: &mut BackendPool, wire: Wire<'_>) -> Result<Vec<u8>, String> {
     let mut last_err = "no healthy replica".to_string();
-    loop {
-        let next = ctx
-            .replicas
-            .iter()
-            .find(|r| r.healthy.load(Ordering::Relaxed) && !tried.contains(&r.index));
-        let Some(replica) = next else {
-            return Err(last_err);
-        };
-        tried.push(replica.index);
-        match pool.acquire(replica).and_then(&mut send) {
+    for replica in ctx.replicas.iter().filter(|r| r.healthy.load(Ordering::Relaxed)) {
+        match pool.relay(replica, wire) {
             Ok(reply) => return Ok(reply),
-            Err(e) => {
-                replica.healthy.store(false, Ordering::Relaxed);
-                pool.drop_conn(replica.index);
-                last_err = format!("replica {}: {e}", replica.index);
-            }
+            Err(e) => last_err = e,
         }
     }
+    Err(last_err)
 }
 
 #[cfg(test)]

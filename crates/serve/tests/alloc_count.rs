@@ -59,13 +59,14 @@ fn warm_batcher_answers_requests_without_allocating() {
     registry.insert(ModelEntry::stub("stub", 1, 1, 8));
     let stats = Arc::new(ServerStats::new());
     let batcher = Batcher::start(
-        Arc::new(registry),
-        Arc::new(PipelineRegistry::new()),
+        &registry,
+        &PipelineRegistry::new(),
         Arc::clone(&stats),
         BatchConfig { max_batch: 4, max_wait: Duration::from_millis(1), queue_cap: 64 },
         None,
     )
     .expect("batch worker starts");
+    let lane = batcher.model("stub").expect("stub lane");
 
     let template = Mts::from_dims(vec![(0..8).map(|t| t as f64).collect()]);
 
@@ -73,7 +74,7 @@ fn warm_batcher_answers_requests_without_allocating() {
     // scratch growth, thread-local init, lazy locale/libc state behind
     // the first condvar timeouts.
     for _ in 0..32 {
-        let reply = batcher.submit("stub", template.clone()).expect("queue open").recv();
+        let reply = lane.submit(template.clone()).expect("queue open").recv();
         assert_eq!(reply.result, Ok(1));
     }
 
@@ -84,7 +85,7 @@ fn warm_batcher_answers_requests_without_allocating() {
 
     let before = ALLOCS.load(Ordering::SeqCst);
     for series in payloads {
-        let reply = batcher.submit("stub", series).expect("queue open").recv();
+        let reply = lane.submit(series).expect("queue open").recv();
         assert_eq!(reply.result, Ok(1));
     }
     let during = ALLOCS.load(Ordering::SeqCst) - before;

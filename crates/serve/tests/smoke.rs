@@ -349,6 +349,48 @@ fn protocol_errors_are_answered_not_dropped() {
     handle.shutdown();
 }
 
+/// `requests` / `errors` as the `stats` endpoint reports them.
+fn request_counters(addr: &str) -> (f64, f64) {
+    let responses = pipeline(addr, &[request_line(0, "stats", &[])]);
+    let stats = responses[0].result.as_ref().expect("stats result");
+    let get = |key: &str| stats.get(key).and_then(Value::as_f64).expect("counter");
+    (get("requests"), get("errors"))
+}
+
+#[test]
+fn malformed_series_count_the_same_on_both_protocols() {
+    // A series that fails its edge decode is refused before it becomes
+    // a request: it counts in `errors` only, whichever codec carried it.
+    let (train, _) = toy_problem(55);
+    let (registry, _, _, test) = build_registry(&train);
+    let handle = serve(
+        registry,
+        ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() },
+    )
+    .expect("server starts");
+    let addr = handle.addr().to_string();
+    let delta = |a: (f64, f64), b: (f64, f64)| (b.0 - a.0, b.1 - a.1);
+
+    let before = request_counters(&addr);
+    let ndjson = pipeline(
+        &addr,
+        &[request_line(1, "predict", &[("model", "rocket"), ("series", "1.0,abc")])],
+    );
+    assert!(!ndjson[0].ok && ndjson[0].error.as_deref().unwrap().starts_with("bad series"));
+    let mid = request_counters(&addr);
+    let empty = Mts::from_flat(0, test.series()[0].len(), Vec::new());
+    let v2 = pipeline_v2(
+        &addr,
+        &[Request2::Predict { id: 2, model: "rocket".into(), series: empty }],
+    );
+    assert!(!v2[0].ok && v2[0].id == 2, "0xN shape must be refused: {:?}", v2[0]);
+    let after = request_counters(&addr);
+
+    assert_eq!(delta(before, mid), (0.0, 1.0), "NDJSON: errors only");
+    assert_eq!(delta(mid, after), (0.0, 1.0), "v2: errors only");
+    handle.shutdown();
+}
+
 #[test]
 fn shutdown_is_graceful_under_traffic() {
     let (train, _) = toy_problem(44);
